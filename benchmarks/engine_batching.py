@@ -1,29 +1,28 @@
 """Batched-dispatch trajectory point: fidelity gate + dispatch speedups.
 
-Measures what PR 8's two mechanisms buy on a warm worker pool, then
+Measures what micro-job batch dispatch buys on a warm worker pool, then
 writes a ``BENCH_*.json`` trajectory point:
 
 * **fidelity** — the full 32-benchmark suite runs through the default
-  engine (ChargeBuffer on, batch dispatch on) and must match the seed
-  baseline at tolerance 0, per metric;
+  engine (batch dispatch on) and must match the seed baseline at
+  tolerance 0, per metric;
 * **dispatch series** — suite and micro-job (64 small n-body requests)
   throughput through the same warm single-worker pool, measured twice:
-  once with PR 7 dispatch semantics (eager charging, one IPC round trip
-  per job) and once with PR 8 defaults (buffered charging, batched
-  dispatch).  Best-of-N walls; the micro series is the regime batching
-  targets and is gated at >= MIN_MICRO_SPEEDUP;
+  once with solo dispatch (``EngineConfig(batch=False)``, one IPC round
+  trip per job) and once with the default batched dispatch.  Best-of-N
+  walls; the micro series is the regime batching targets and is gated
+  at >= MIN_MICRO_SPEEDUP;
 * **heavy subset** — BENCH_pr3's fastpath subset re-measured with the
   same method ("best of 5 cold-cache in-process runs, jobs=1"); gated
   to be no slower than the committed PR 3 wall (+ noise margin).
 
     PYTHONPATH=src python benchmarks/engine_batching.py --out BENCH_pr8.json
 
-The eager/solo arm toggles ``REPRO_CHARGE_BUFFER=0`` (inherited by the
-freshly spawned workers) plus ``EngineConfig(batch=False)`` on the
-*current* tree, so it understates the full PR 8 speedup: the data-path
-work that rides along (``fast_roll``, in-place stencils, comm pricing
-memo) benefits both arms.  ``docs/PERF.md`` records the cross-tree
-comparison against a PR 7 checkout.
+The solo arm is ``EngineConfig(batch=False)`` on the *current* tree,
+so it understates the full speedup over older code: the data-path work
+that rode along with batching (``fast_roll``, in-place stencils, comm
+pricing memo) benefits both arms.  ``docs/PERF.md`` records the
+cross-tree comparison against a PR 7 checkout.
 """
 
 import argparse
@@ -46,7 +45,7 @@ from repro.engine.stats import load_baseline_file, trajectory_point  # noqa: E40
 BASELINE = Path(__file__).resolve().parent / "baselines" / "seed_suite_bench.json"
 PR3_BENCH = Path(__file__).resolve().parents[1] / "BENCH_pr3.json"
 
-#: live eager-vs-batched micro-job gate (the committed point measures
+#: live solo-vs-batched micro-job gate (the committed point measures
 #: ~2.2x; the live gate sits below that to absorb shared-runner noise)
 MIN_MICRO_SPEEDUP = 1.8
 
@@ -64,7 +63,7 @@ HEAVY_SUBSET = [
 
 
 #: probe run inside a PR 7 checkout (``--pr7-src``): that tree's
-#: *default* engine is the eager/solo dispatcher, so no toggles needed
+#: *default* engine is the solo dispatcher, so no toggles needed
 PR7_PROBE = """\
 import json, sys, time
 from repro.engine.executor import Engine, EngineConfig
@@ -101,7 +100,6 @@ print(json.dumps(out))
 def probe_pr7(pr7_src: Path, reps: int, micro_jobs: int):
     """Measure a PR 7 checkout's warm-pool walls in a subprocess."""
     env = {**os.environ, "PYTHONPATH": str(pr7_src)}
-    env.pop("REPRO_CHARGE_BUFFER", None)
     env.pop("REPRO_ENGINE_BATCH", None)
     proc = subprocess.run(
         [sys.executable, "-c", PR7_PROBE, str(reps), str(micro_jobs)],
@@ -128,37 +126,31 @@ def timed_run(engine: Engine, requests) -> float:
 
 
 def measure_dispatch(suite, micro, reps: int):
-    """Best-of-``reps`` suite/micro walls, eager/solo vs PR 8 defaults.
+    """Best-of-``reps`` suite/micro walls, solo vs batched dispatch.
 
-    The eager arm reproduces PR 7 dispatch semantics on this tree:
-    workers charge eagerly (env kill switch, inherited by the worker
-    interpreters spawned while it is set) and every job ships solo.
-    Both engines stay warm for the whole measurement and the arms
-    alternate within each rep, so load or clock-frequency drift hits
-    them evenly instead of biasing whichever arm ran last.
+    The solo arm ships every job in its own IPC round trip
+    (``EngineConfig(batch=False)``); the batched arm is the default
+    engine.  Both engines stay warm for the whole measurement and the
+    arms alternate within each rep, so load or clock-frequency drift
+    hits them evenly instead of biasing whichever arm ran last.
     """
-    os.environ["REPRO_CHARGE_BUFFER"] = "0"
-    try:
-        eager_pool = WorkerPool(workers=1)
-        eager = Engine(EngineConfig(jobs=2, batch=False), pool=eager_pool)
-        eager.run(micro[:16])  # force the worker spawn under the env flag
-    finally:
-        del os.environ["REPRO_CHARGE_BUFFER"]
-    pr8_pool = WorkerPool(workers=1)
-    pr8 = Engine(EngineConfig(jobs=2), pool=pr8_pool)
-    pr8.run(micro[:16])  # warm: spawn worker, seed the EWMA
-    eager.run(suite)
-    pr8.run(suite)
+    solo_pool = WorkerPool(workers=1)
+    solo = Engine(EngineConfig(jobs=2, batch=False), pool=solo_pool)
+    batched_pool = WorkerPool(workers=1)
+    batched = Engine(EngineConfig(jobs=2), pool=batched_pool)
+    for engine in (solo, batched):
+        engine.run(micro[:16])  # warm: spawn worker, seed the EWMA
+        engine.run(suite)
 
-    walls = {key: float("inf") for key in ("es", "ps", "em", "pm")}
+    walls = {key: float("inf") for key in ("ss", "bs", "sm", "bm")}
     for _ in range(reps):
-        walls["es"] = min(walls["es"], timed_run(eager, suite))
-        walls["ps"] = min(walls["ps"], timed_run(pr8, suite))
-        walls["em"] = min(walls["em"], timed_run(eager, micro))
-        walls["pm"] = min(walls["pm"], timed_run(pr8, micro))
-    eager_pool.shutdown()
-    pr8_pool.shutdown()
-    return walls["es"], walls["ps"], walls["em"], walls["pm"]
+        walls["ss"] = min(walls["ss"], timed_run(solo, suite))
+        walls["bs"] = min(walls["bs"], timed_run(batched, suite))
+        walls["sm"] = min(walls["sm"], timed_run(solo, micro))
+        walls["bm"] = min(walls["bm"], timed_run(batched, micro))
+    solo_pool.shutdown()
+    batched_pool.shutdown()
+    return walls["ss"], walls["bs"], walls["sm"], walls["bm"]
 
 
 def run_suite_checked(store_dir: Path):
@@ -216,19 +208,19 @@ def main() -> int:
         f"({len(report.regressions)} regressions, {len(report.missing)} missing)"
     )
 
-    eager_suite, pr8_suite, eager_micro, pr8_micro = measure_dispatch(
+    solo_suite, batched_suite, solo_micro, batched_micro = measure_dispatch(
         suite, micro, args.reps
     )
-    suite_speedup = eager_suite / pr8_suite
-    micro_speedup = eager_micro / pr8_micro
+    suite_speedup = solo_suite / batched_suite
+    micro_speedup = solo_micro / batched_micro
     print(
-        f"suite ({len(suite)} jobs): eager/solo {len(suite) / eager_suite:.1f} "
-        f"-> batched/buffered {len(suite) / pr8_suite:.1f} jobs/s "
+        f"suite ({len(suite)} jobs): solo {len(suite) / solo_suite:.1f} "
+        f"-> batched {len(suite) / batched_suite:.1f} jobs/s "
         f"({suite_speedup:.2f}x)"
     )
     print(
-        f"micro ({len(micro)} jobs): eager/solo {len(micro) / eager_micro:.1f} "
-        f"-> batched/buffered {len(micro) / pr8_micro:.1f} jobs/s "
+        f"micro ({len(micro)} jobs): solo {len(micro) / solo_micro:.1f} "
+        f"-> batched {len(micro) / batched_micro:.1f} jobs/s "
         f"({micro_speedup:.2f}x)"
     )
 
@@ -254,17 +246,17 @@ def main() -> int:
         "workers": 1,
         "reps": args.reps,
         "suite_jobs": len(suite),
-        "suite_eager_solo_jobs_per_s": round(len(suite) / eager_suite, 1),
-        "suite_batched_buffered_jobs_per_s": round(len(suite) / pr8_suite, 1),
+        "suite_solo_jobs_per_s": round(len(suite) / solo_suite, 1),
+        "suite_batched_jobs_per_s": round(len(suite) / batched_suite, 1),
         "suite_speedup_x": round(suite_speedup, 2),
         "micro_jobs": len(micro),
-        "micro_eager_solo_jobs_per_s": round(len(micro) / eager_micro, 1),
-        "micro_batched_buffered_jobs_per_s": round(len(micro) / pr8_micro, 1),
+        "micro_solo_jobs_per_s": round(len(micro) / solo_micro, 1),
+        "micro_batched_jobs_per_s": round(len(micro) / batched_micro, 1),
         "micro_speedup_x": round(micro_speedup, 2),
         "method": (
-            "best-of-reps walls through one warm single-worker pool; eager "
-            "arm = REPRO_CHARGE_BUFFER=0 + EngineConfig(batch=False) on this "
-            "tree (understates the cross-tree PR 7 comparison in docs/PERF.md)"
+            "best-of-reps walls through one warm single-worker pool each; "
+            "solo arm = EngineConfig(batch=False) on this tree (understates "
+            "the cross-tree PR 7 comparison in docs/PERF.md)"
         ),
     }
     if args.pr7_src:
@@ -275,15 +267,14 @@ def main() -> int:
             "suite_jobs_per_s": round(pr7_suite_rate, 1),
             "micro_jobs_per_s": round(pr7_micro_rate, 1),
             "suite_speedup_x": round(
-                (len(suite) / pr8_suite) / pr7_suite_rate, 2
+                (len(suite) / batched_suite) / pr7_suite_rate, 2
             ),
             "micro_speedup_x": round(
-                (len(micro) / pr8_micro) / pr7_micro_rate, 2
+                (len(micro) / batched_micro) / pr7_micro_rate, 2
             ),
             "method": (
                 "same probe run against the PR 7 checkout's default engine "
-                "(eager charging, solo dispatch, pre-PR-8 data paths) on "
-                "the same host"
+                "(solo dispatch, pre-PR-8 data paths) on the same host"
             ),
         }
         print(

@@ -21,7 +21,20 @@ Quickstart::
     from repro import Session, cm5, run_benchmark
     report = run_benchmark("ellip-2d", Session(cm5(32)), size=64)
     print(report.summary())
+
+Importing :mod:`repro` pins the BLAS thread pools to one thread
+(``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` / ``MKL_NUM_THREADS``)
+unless the variable is already set: the suite's kernels are small, and
+a multi-threaded BLAS on a few-core host can leave a fresh process
+running one small solve ~100x slower.  The pin only takes effect if
+numpy has not been imported yet.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from repro.array import (
     DistArray,

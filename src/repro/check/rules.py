@@ -103,8 +103,7 @@ NP_MOVEMENT = {
     "put",
     "take_along_axis",
     "put_along_axis",
-    # joining shards is movement too — the runtime sanitizer has
-    # counted it since the ChargeBuffer PR; the lint agrees now
+    # joining shards is movement too, as the runtime sanitizer counts it
     "concatenate",
 }
 

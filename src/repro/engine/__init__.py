@@ -32,14 +32,9 @@ See ``docs/ENGINE.md`` for architecture and format details.
 """
 
 from repro.engine.cache import ResultCache, code_fingerprint
-from repro.engine.executor import (
-    Engine,
-    EngineConfig,
-    InjectedFailure,
-    RunResult,
-)
+from repro.engine.executor import Engine, EngineConfig, RunResult
 from repro.engine.jobs import RunRequest, execute_request
-from repro.engine.pool import WorkerPool
+from repro.engine.pool import InjectedFailure, WorkerPool
 from repro.engine.shards import ShardedRunStore
 from repro.engine.plan import (
     expand_grid,

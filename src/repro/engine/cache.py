@@ -10,7 +10,8 @@ from disk without re-simulating.
 
 Entries live under ``<root>/<fingerprint[:16]>/<hash>.json`` and store
 the full result record (status, report, wall time), written atomically
-via a temporary file so a killed run never leaves a torn entry.
+via :func:`~repro.engine.store.write_json_atomic` so a killed run never
+leaves a torn entry.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.engine.jobs import RunRequest
+from repro.engine.store import write_json_atomic
 
 
 @lru_cache(maxsize=1)
@@ -99,14 +101,7 @@ class ResultCache:
 
     def put(self, request: RunRequest, record: Dict) -> Path:
         """Store a result record atomically; returns the entry path."""
-        path = self._entry_path(request)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(record, sort_keys=True, indent=2), encoding="utf-8"
-        )
-        os.replace(tmp, path)
-        return path
+        return write_json_atomic(self._entry_path(request), record)
 
     def __contains__(self, request: RunRequest) -> bool:
         return self._entry_path(request).exists()

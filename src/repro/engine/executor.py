@@ -47,18 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import RunRequest, execute_request
-from repro.engine.pool import (  # noqa: F401  (re-exported compat names)
-    ENV_FORCE_SERIAL,
-    ENV_INJECT_FAIL,
-    ENV_INJECT_SLEEP,
-    InjectedFailure,
-    WorkerPool,
-    _apply_test_hooks,
-    _parse_injection,
-    _pool_supported,
-    _worker_init,
-    _worker_run,
-)
+from repro.engine.pool import WorkerPool, _apply_test_hooks, _pool_supported
 from repro.engine.store import make_record, new_run_id, open_store
 from repro.engine.trace import Tracer
 from repro.metrics.report import PerfReport
@@ -588,12 +577,7 @@ class Engine:
         config = self.config
         owned = self.pool is None
         try:
-            pool = self.pool or WorkerPool(
-                config.jobs,
-                telemetry=(
-                    telemetry.get_registry() if telemetry.enabled() else None
-                ),
-            )
+            pool = self.pool or WorkerPool(config.jobs)
         except Exception:  # pragma: no cover - restricted platforms
             self._run_serial(requests, indices, results, cache, None)
             return 1

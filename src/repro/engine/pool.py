@@ -127,16 +127,6 @@ def _worker_run(payload: Dict) -> Dict:
     }
     if collector is not None:
         result["spans"] = collector.finalize().summary()
-    if payload.get("telemetry"):
-        # ship this worker's wall-clock metrics home with the result:
-        # drain (snapshot + reset) the charge-buffer namespace of the
-        # worker-process registry so the parent can merge it — counts
-        # ride the existing payload protocol, no extra IPC
-        from repro.obs import telemetry as _telemetry
-
-        shipped = _telemetry.get_registry().drain(prefix="repro_charge_")
-        if shipped:
-            result["telemetry"] = shipped
     return result
 
 
@@ -197,21 +187,18 @@ class WorkerPool:
     return :class:`concurrent.futures.Future` objects resolving to the
     worker payload dictionary (``report``, ``compute_time_s``, and
     optionally ``spans``); :meth:`submit_async` bridges the same future
-    into asyncio for the serve layer.
+    into asyncio for the serve layer.  Workers record no telemetry:
+    every wall-clock metric is taken parent-side from these payloads.
 
     ``restart()`` abandons the current executor (stuck workers and all)
     and provisions a fresh one — the timeout-recovery path.  The pool
     object itself stays valid across restarts.
     """
 
-    def __init__(self, workers: int = 1, *, telemetry=None) -> None:
+    def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        #: optional :class:`repro.obs.telemetry.MetricsRegistry`; when
-        #: set, workers drain their process-local metrics into each
-        #: result payload and done-callbacks merge them here
-        self.telemetry = telemetry
         self.process_based = _pool_supported()
         self._lock = threading.Lock()
         self._executor = None
@@ -338,7 +325,6 @@ class WorkerPool:
             "request": request.to_dict(),
             "attempt": attempt,
             "spans": spans,
-            "telemetry": self.telemetry is not None,
         }
         future = executor.submit(_worker_run, payload)
         benchmark = request.benchmark
@@ -351,9 +337,6 @@ class WorkerPool:
                 seconds = result.get("compute_time_s")
                 if seconds is not None:
                     self.note_compute(benchmark, seconds)
-                shipped = result.get("telemetry")
-                if shipped and self.telemetry is not None:
-                    self.telemetry.merge(shipped)
             except Exception:  # pragma: no cover - callback must not raise
                 pass
 
@@ -380,7 +363,6 @@ class WorkerPool:
                     "request": request.to_dict(),
                     "attempt": attempt,
                     "spans": spans,
-                    "telemetry": self.telemetry is not None,
                 }
                 for request, attempt in items
             ]
@@ -397,9 +379,6 @@ class WorkerPool:
                         continue
                     if member.get("compute_time_s") is not None:
                         self.note_compute(name, member["compute_time_s"])
-                    shipped = member.get("telemetry")
-                    if shipped and self.telemetry is not None:
-                        self.telemetry.merge(shipped)
             except Exception:  # pragma: no cover - callback must not raise
                 pass
 

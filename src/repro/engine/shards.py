@@ -14,7 +14,7 @@ Safety model (what ``repro serve`` relies on):
   per-shard ``flock`` (plus an in-process mutex for threads sharing
   the store object), so lines from concurrent writers never interleave;
 * **stats sidecars** — ``<root>/stats/<run_id>.json`` written via
-  per-pid tmp file + atomic rename
+  unique tmp file + atomic rename
   (:func:`~repro.engine.store.write_json_atomic`), the cache's
   convention;
 * **layout marker** — ``<root>/store.json`` records the schema and
@@ -81,6 +81,7 @@ class ShardedRunStore(StoreReader):
                 raise ValueError(f"shard width must be in 1..8, got {self.width}")
         self._locks: Dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
+        self._marker_written = False
 
     # -- layout ---------------------------------------------------------
     @property
@@ -155,7 +156,10 @@ class ShardedRunStore(StoreReader):
         if not by_shard:
             return
         self.shards_dir.mkdir(parents=True, exist_ok=True)
-        self._write_marker()
+        # threads racing here both write the same bytes atomically
+        if not self._marker_written:
+            self._write_marker()
+            self._marker_written = True
         for key, lines in sorted(by_shard.items()):
             path = self.shard_path(key)
             with self._shard_mutex(key):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
@@ -30,17 +31,20 @@ def new_run_id() -> str:
 def write_json_atomic(path: Path, record: Dict) -> Path:
     """Serialize ``record`` to ``path`` via tmp file + atomic rename.
 
-    Concurrent writers (two engines sharing a store, the serve
-    scheduler refreshing a sidecar per completion) each write their own
-    ``*.tmp.<pid>`` and rename into place, so readers never see a torn
-    or interleaved document — the same convention the result cache
-    uses.
+    Concurrent writers (two engines sharing a store, threads of one
+    server refreshing the same sidecar, cache puts) each write their
+    own uniquely named ``<stem>.tmp.<random>`` file (``mkstemp``) and
+    rename it into place, so readers never see a torn or interleaved
+    document and no writer's rename can consume another's tmp file.
+    Leftovers of a crashed writer match the ``*.tmp.*`` sweep of
+    :meth:`ResultCache.clear` / :meth:`ResultCache.prune` and never end
+    in ``.json``.
     """
+    text = json.dumps(record, sort_keys=True, indent=2)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(
-        json.dumps(record, sort_keys=True, indent=2), encoding="utf-8"
-    )
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.tmp.")
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
     os.replace(tmp, path)
     return path
 
@@ -147,7 +151,7 @@ class StoreReader:
         """Serialize one run's stats record next to the store.
 
         Crash-safe under concurrent writers: the record lands via
-        per-pid tmp file + atomic rename (:func:`write_json_atomic`),
+        unique tmp file + atomic rename (:func:`write_json_atomic`),
         so two engines sharing a store can never interleave sidecar
         bytes, and a killed writer leaves at worst a stale ``*.tmp.*``
         file — never a torn sidecar.

@@ -311,7 +311,7 @@ class Session:
                 self._comm_cache[key] = priced
         busy, idle = priced
         recorder = self.recorder
-        result = recorder.charge_comm(
+        result = recorder.current.add_comm(
             pattern,
             bytes_network=bytes_network,
             bytes_local=bytes_local,

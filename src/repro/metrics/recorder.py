@@ -35,59 +35,13 @@ byte-identical with and without a collector attached.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.metrics.chargebuffer import ChargeBuffer
 from repro.metrics.flops import FlopCounter, FlopKind, reduction_flops
 from repro.metrics.memory import MemoryLedger
 from repro.metrics.patterns import CommPattern
-
-#: Kill switch for batched charge accounting (``REPRO_CHARGE_BUFFER=0``
-#: forces every charge onto the eager per-call path).  Read once at
-#: import; tests toggle :attr:`MetricsRecorder.buffer_charges` instead.
-_BUFFER_ENABLED = os.environ.get("REPRO_CHARGE_BUFFER", "1").lower() not in (
-    "0",
-    "false",
-    "no",
-)
-
-_CHARGE_METRICS: Optional[Dict] = None
-
-
-def _charge_metrics() -> Dict:
-    """Charge-buffer telemetry on the process-global registry.
-
-    Deferred import: :mod:`repro.obs` pulls in :mod:`repro.metrics`
-    modules, so a top-level import here would cycle.  Resolved once and
-    cached; these counters record wall-clock bookkeeping only and never
-    touch any simulated metric.
-    """
-    global _CHARGE_METRICS
-    if _CHARGE_METRICS is None:
-        from repro.obs import telemetry
-
-        registry = telemetry.get_registry()
-        _CHARGE_METRICS = {
-            "enabled": telemetry.enabled,
-            "flushes": registry.counter(
-                "repro_charge_flushes_total",
-                "Non-empty charge-buffer flushes.",
-            ),
-            "entries": registry.histogram(
-                "repro_charge_flush_entries",
-                "Buffered entries drained per non-empty flush.",
-                buckets=telemetry.SIZE_BUCKETS,
-            ),
-            "disengaged": registry.counter(
-                "repro_charge_disengaged_total",
-                "Region transitions where buffering could not engage.",
-                ["reason"],
-            ),
-        }
-    return _CHARGE_METRICS
 
 
 @dataclass(frozen=True)
@@ -384,63 +338,10 @@ class MetricsRecorder:
     #: accounting, so attaching one leaves every metric bit-identical.
     observer: Optional[object] = None
 
-    #: Class-level opt-out for batched charge accounting.  When true
-    #: (the default unless ``REPRO_CHARGE_BUFFER=0``), charges made
-    #: inside regions are enqueued into a :class:`ChargeBuffer` and
-    #: flushed in aggregate at each region transition — bit-identical
-    #: to eager charging (see ``repro.metrics.chargebuffer``).  The
-    #: runtime sanitizer's audit recorder sets this to ``False``.
-    buffer_charges = _BUFFER_ENABLED
-
     def __post_init__(self) -> None:
         if self.detail_events:
             self.root.detail_events = True
         self._stack: List[Region] = [self.root]
-        self._buffer = ChargeBuffer()
-        #: the active buffer — ``None`` whenever charges must be eager
-        #: (root region, observer attached, trace mode, buffering off)
-        self._buf: Optional[ChargeBuffer] = None
-
-    def _refresh_buffer_state(self) -> None:
-        """Recompute whether charges should buffer, after any transition.
-
-        Buffering engages only inside regions (root-level charges stay
-        eager so ``charge → read`` sequences outside any region keep
-        their historical immediacy), with no observer attached (span
-        collectors must see every charge as it happens for ``repro.obs``
-        reconciliation to stay bit-exact) and outside trace mode.
-        """
-        if (
-            self.buffer_charges
-            and len(self._stack) > 1
-            and self.observer is None
-            and not self.detail_events
-        ):
-            self._buf = self._buffer
-        else:
-            self._buf = None
-            # inside a region, eager charging is a *disengage* worth
-            # counting (root-level eager is just normal operation)
-            if len(self._stack) > 1:
-                metrics = _charge_metrics()
-                if metrics["enabled"]():
-                    if not self.buffer_charges:
-                        reason = "disabled"
-                    elif self.observer is not None:
-                        reason = "observer"
-                    else:
-                        reason = "trace"
-                    metrics["disengaged"].labels(reason=reason).inc()
-
-    def flush_charges(self) -> None:
-        """Drain pending buffered charges into the current region."""
-        buf = self._buf
-        if buf is not None and buf:
-            metrics = _charge_metrics()
-            if metrics["enabled"]():
-                metrics["flushes"].inc()
-                metrics["entries"].observe(buf.entries())
-            buf.flush_into(self._stack[-1])
 
     @property
     def current(self) -> Region:
@@ -456,7 +357,6 @@ class MetricsRecorder:
         :func:`repro.suite.runner.run_benchmark` requires one so the
         report's totals describe a single benchmark.
         """
-        self.flush_charges()
         root = self.root
         return bool(
             root.children
@@ -475,7 +375,6 @@ class MetricsRecorder:
         in ``with recorder.region("step"):`` without creating thousands
         of children); pass distinct names for distinct segments.
         """
-        self.flush_charges()
         parent = self.current
         existing = next((c for c in parent.children if c.name == name), None)
         if existing is not None:
@@ -487,17 +386,14 @@ class MetricsRecorder:
             )
             parent.children.append(region)
         self._stack.append(region)
-        self._refresh_buffer_state()
         obs = self.observer
         if obs is not None:
             obs.on_region_enter(region)
         try:
             yield region
         finally:
-            self.flush_charges()
             popped = self._stack.pop()
             assert popped is region, "unbalanced region stack"
-            self._refresh_buffer_state()
             if obs is not None:
                 obs.on_region_exit(region)
 
@@ -506,10 +402,6 @@ class MetricsRecorder:
         self, kind: FlopKind, count: int, *, complex_valued: bool = False
     ) -> None:
         """Record operations of one kind in the current region."""
-        buf = self._buf
-        if buf is not None:
-            buf.add_flops(kind, count, complex_valued)
-            return
         self.current.flops.add(kind, count, complex_valued=complex_valued)
         obs = self.observer
         if obs is not None:
@@ -519,10 +411,6 @@ class MetricsRecorder:
 
     def charge_raw_flops(self, flops: int) -> None:
         """Record pre-weighted FLOPs in the current region."""
-        buf = self._buf
-        if buf is not None:
-            buf.add_raw(flops)
-            return
         self.current.flops.add_raw(flops)
         obs = self.observer
         if obs is not None:
@@ -531,10 +419,6 @@ class MetricsRecorder:
     def charge_reduction(self, n_elements: int, n_results: int = 1) -> None:
         """Charge a reduction at its sequential cost of ``N - 1``."""
         flops = reduction_flops(n_elements, n_results)
-        buf = self._buf
-        if buf is not None:
-            buf.add_raw(flops)
-            return
         self.current.flops.add_raw(flops)
         obs = self.observer
         if obs is not None:
@@ -544,59 +428,13 @@ class MetricsRecorder:
         """Add simulated compute seconds to the current region."""
         if seconds < 0:
             raise ValueError(f"negative compute time: {seconds}")
-        buf = self._buf
-        if buf is not None:
-            buf.add_compute(seconds)
-            return
         self.current.compute_busy += seconds
         obs = self.observer
         if obs is not None:
             obs.on_compute(self.current, seconds)
 
-    def charge_comm(
-        self,
-        pattern: CommPattern,
-        *,
-        bytes_network: int = 0,
-        bytes_local: int = 0,
-        nodes: int = 1,
-        busy_time: float = 0.0,
-        idle_time: float = 0.0,
-        rank: Optional[int] = None,
-        detail: str = "",
-    ) -> Optional[CommEvent]:
-        """Account one collective; the buffered twin of ``Region.add_comm``.
-
-        Returns the :class:`CommEvent` only in trace mode (which is
-        always eager); buffered and eager fast-path calls return
-        ``None``, matching the session's ``record_comm`` contract.
-        """
-        buf = self._buf
-        if buf is not None:
-            buf.add_comm(
-                pattern,
-                rank,
-                detail,
-                bytes_network=bytes_network,
-                bytes_local=bytes_local,
-                busy_time=busy_time,
-                idle_time=idle_time,
-            )
-            return None
-        return self.current.add_comm(
-            pattern,
-            bytes_network=bytes_network,
-            bytes_local=bytes_local,
-            nodes=nodes,
-            busy_time=busy_time,
-            idle_time=idle_time,
-            rank=rank,
-            detail=detail,
-        )
-
     def record_comm(self, event: CommEvent) -> None:
         """Account a communication event in the current region."""
-        self.flush_charges()
         self.current.record_comm(event)
         obs = self.observer
         if obs is not None:
@@ -615,17 +453,14 @@ class MetricsRecorder:
     @property
     def total_flops(self) -> int:
         """FLOPs accumulated over the whole run."""
-        self.flush_charges()
         return self.root.total_flops
 
     @property
     def busy_time(self) -> float:
         """Non-idle seconds over the whole run."""
-        self.flush_charges()
         return self.root.busy_time
 
     @property
     def elapsed_time(self) -> float:
         """Total simulated seconds over the whole run."""
-        self.flush_charges()
         return self.root.elapsed_time

@@ -17,13 +17,13 @@ from repro.engine import (
     RunStore,
     plan_suite,
 )
-from repro.engine.executor import (
+from repro.engine.pool import (
     ENV_FORCE_SERIAL,
     ENV_INJECT_FAIL,
     ENV_INJECT_SLEEP,
+    WorkerPool,
     _parse_injection,
 )
-from repro.engine.pool import WorkerPool
 from repro.engine.trace import Tracer
 from repro.metrics.serialize import canonical_report_json
 from repro.suite import run_suite

@@ -20,7 +20,7 @@ from repro.engine import (
     stats_from_records,
     trajectory_point,
 )
-from repro.engine.executor import ENV_INJECT_FAIL
+from repro.engine.pool import ENV_INJECT_FAIL
 from repro.engine.stats import (
     STATS_SCHEMA_VERSION,
     JobStats,

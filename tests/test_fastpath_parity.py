@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.array.roll import fast_roll
-from repro.metrics.recorder import MetricsRecorder
 from repro.metrics.serialize import (
     canonical_report_json,
     report_from_dict,
@@ -81,23 +80,6 @@ def test_fast_path_report_matches_detail_mode(name):
     r_fast = report_to_dict(report_from_dict(fast))
     r_detail = report_to_dict(report_from_dict(detail))
     assert canonical_report_json(r_fast) == canonical_report_json(r_detail)
-
-
-@pytest.mark.parametrize("name", sorted(REGISTRY))
-def test_charge_buffer_report_matches_eager_mode(name, monkeypatch):
-    """ChargeBuffer on vs off: canonical report JSON byte-identical.
-
-    Batched charge accounting reorders *when* deltas reach the
-    recorder (region exit instead of call time), never *what* is
-    recorded — the flush replays every charge in original order with
-    identical arithmetic, so the serialized report must not move by a
-    single byte on any benchmark.
-    """
-    monkeypatch.setattr(MetricsRecorder, "buffer_charges", False)
-    eager = _run(name, detail_events=False)
-    monkeypatch.setattr(MetricsRecorder, "buffer_charges", True)
-    buffered = _run(name, detail_events=False)
-    assert canonical_report_json(eager) == canonical_report_json(buffered)
 
 
 @pytest.mark.parametrize(

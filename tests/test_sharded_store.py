@@ -11,6 +11,7 @@ and flat stores via ``open_store``.
 import json
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -156,8 +157,8 @@ class TestAtomicWrites:
         assert list(tmp_path.rglob("*.tmp.*")) == []
 
     def test_crashed_writer_tmp_not_clobbered(self, tmp_path):
-        # tmp names are per-pid: another process's crashed leftover is
-        # never reused (and never mistaken for the real document)
+        # tmp names are unique per write: another process's crashed
+        # leftover is never reused (and never mistaken for the document)
         target = tmp_path / "stats.json"
         leftover = target.with_suffix(f".tmp.{os.getpid() + 1}")
         leftover.write_text("{torn")
@@ -170,6 +171,40 @@ class TestAtomicWrites:
         write_json_atomic(target, {"v": 1})
         write_json_atomic(target, {"v": 2})
         assert json.loads(target.read_text()) == {"v": 2}
+
+    def test_threads_writing_one_target_use_distinct_tmp_files(
+        self, tmp_path, monkeypatch
+    ):
+        """Two threads of one process write the same target, and both
+        reach ``os.replace`` before either renames.  A tmp name shared
+        within the process would let the first rename consume the
+        second writer's file (``FileNotFoundError``)."""
+        target = tmp_path / "stats.json"
+        barrier = threading.Barrier(2)
+        real_replace = os.replace
+
+        def replace_after_barrier(src, dst):
+            barrier.wait(timeout=10)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_after_barrier)
+        errors = []
+
+        def write(value: int) -> None:
+            try:
+                write_json_atomic(target, {"v": value})
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(v,)) for v in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert json.loads(target.read_text()) in ({"v": 1}, {"v": 2})
+        assert list(tmp_path.glob("*.tmp.*")) == []
 
 
 def _append_worker(root: str, writer: int, count: int) -> None:
@@ -207,8 +242,6 @@ class TestConcurrentWriters:
             assert sorted(indices) == list(range(per_writer))
 
     def test_threaded_appends_through_one_store_object(self, tmp_path):
-        import threading
-
         store = ShardedRunStore(tmp_path / "runs")
         run_id = new_run_id()
 
